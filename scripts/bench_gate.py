@@ -32,8 +32,8 @@ import argparse
 import json
 import sys
 
-# Instrumented configurations whose tail the gate owns. Baseline and the
-# partial fig8 stages are reported but never gated.
+# Instrumented configurations whose tail the gate owns. Baseline samples
+# are reported but never gated.
 GATED_LABELS = {"dimmunix", "full", "full+persist"}
 
 REQUIRED_KEYS = ("bench", "config", "samples", "p50_ns", "p99_ns", "throughput_ops_s")

@@ -36,7 +36,7 @@ import sys
 BENCHES = ("fig4", "fig5", "fig8")
 # Instrumented labels paired against this baseline label for overhead factors.
 BASELINE_LABEL = "baseline"
-INSTRUMENTED_LABELS = {"dimmunix", "full", "full+persist", "instr"}
+INSTRUMENTED_LABELS = {"dimmunix", "full", "full+persist"}
 
 
 def load(dirpath, bench):

@@ -34,13 +34,6 @@ enum class DeadlockAction {
   kBreakVictim,  // additionally cancel one victim's pending acquisition
 };
 
-// Staged-disable knobs for the Figure 8 overhead breakdown.
-enum class EngineStage {
-  kInstrumentationOnly,  // intercept lock ops, emit events, never consult history
-  kDataStructures,       // + maintain Allowed sets / lock map, never yield
-  kFull,                 // + avoidance (production behavior)
-};
-
 struct Config {
   // Master switch: false turns every engine entry point into an immediate
   // return (used as the "uninstrumented baseline" in app-level benchmarks).
@@ -60,7 +53,6 @@ struct Config {
   // --- Avoidance -----------------------------------------------------------
   ImmunityMode immunity = ImmunityMode::kWeak;
   DeadlockAction deadlock_action = DeadlockAction::kReport;
-  EngineStage stage = EngineStage::kFull;
   std::chrono::milliseconds yield_timeout{200};  // §5.7 upper bound on a yield
   // After this many timed-out yields a signature is considered "too risky to
   // avoid" and is automatically disabled (§5.7). <= 0 disables the feature.
@@ -191,7 +183,7 @@ struct Config {
   //   DIMMUNIX_HISTORY, DIMMUNIX_TAU_MS, DIMMUNIX_DEPTH, DIMMUNIX_MAX_DEPTH,
   //   DIMMUNIX_IMMUNITY (weak|strong), DIMMUNIX_CALIBRATION (0|1),
   //   DIMMUNIX_YIELD_TIMEOUT_MS, DIMMUNIX_IGNORE_YIELDS (0|1),
-  //   DIMMUNIX_STAGE (instr|data|full), DIMMUNIX_STRIPES (0 = auto),
+  //   DIMMUNIX_STRIPES (0 = auto),
   //   DIMMUNIX_INCREMENTAL_MATCH (0|1, default 1),
   //   DIMMUNIX_EPOCH_BOUND_MS (debug-asserted epoch hold bound),
   //   DIMMUNIX_CONTROL (control-socket path, e.g. /tmp/app.dimmunix.sock),
@@ -214,7 +206,9 @@ struct Config {
   //   DIMMUNIX_INCIDENT_DIR (incident-bundle directory, empty = off),
   //   DIMMUNIX_INCIDENT_MAX, DIMMUNIX_INCIDENT_MIN_MS,
   //   DIMMUNIX_PROC_TAG (process identity for proc-qualified signatures;
-  //   defaults to the executable path — read by src/ipc/global_id.cc).
+  //   defaults to the executable path — read by src/ipc/global_id.cc),
+  //   DIMMUNIX_LOG (error|warn|info|debug, default warn — read by
+  //   src/common/logging.cc).
   static Config FromEnvironment();
   static Config FromEnvironment(Config base);
 };

@@ -397,6 +397,17 @@ class AvoidanceEngine {
       // live[j] = tuples currently present in slots matching sig_stacks[j]
       // at `depth`. seq_cst add/remove + seq_cst fast-reject reads.
       std::unique_ptr<std::atomic<std::int64_t>[]> live;
+
+      // The per-signature §5.6 fast reject: only a signature whose every
+      // position has a live tuple can be instantiated.
+      bool AllPositionsLive() const {
+        for (std::size_t j = 0; j < sig_stacks.size(); ++j) {
+          if (live[j].load(std::memory_order_seq_cst) <= 0) {
+            return false;
+          }
+        }
+        return !sig_stacks.empty();
+      }
     };
     std::vector<Entry> entries;
     // dead[e] = positions of entries[e] whose live counter is zero (empty
@@ -459,6 +470,10 @@ class AvoidanceEngine {
   // Convenience: lock the stripe, run the op.
   void AddTuple(StackId stack, const AllowedTuple& tuple);
   void RemoveTuple(StackId stack, ThreadId thread, LockId lock, bool held);
+  // Allow edge -> hold edge: flips (thread, lock)'s tuple in `stack`'s slot
+  // to held, or adds a fresh hold tuple when none stands. Lock-owner
+  // bookkeeping stays with the caller (local and foreign holds differ).
+  void CommitHoldTuple(StackId stack, ThreadId thread, LockId lock, AcquireMode mode);
 
   // Refreshes `slot`'s membership cache against `gen` if stale. Caller
   // holds the slot's stripe.
@@ -513,11 +528,48 @@ class AvoidanceEngine {
   // without a presence check.
   bool CoverStillStands(const MatchResult& result,
                         const std::vector<std::uint64_t>& scan_versions);
+  // Shared by both matchers: the result for a found `cover` of `sig` — the
+  // deepest depth the cover still matches at, and the cover minus the
+  // requester, whose own tuple mode lands in *self_mode (when non-null).
+  MatchResult CoverResult(const SigGen::Entry& sig, const CoverScratch& cover, ThreadId thread,
+                          LockId lock, AcquireMode* self_mode) const;
   // Yield-set bookkeeping shared by both matchers. Register takes yield_m_
   // then park_m; it must complete before the requester's allow tuple is
   // removed so a releaser that saw the tuple also sees yield_count_ > 0.
   void RegisterYield(ThreadId thread, ThreadSlot& slot, const MatchResult& result);
   void UnregisterYield(ThreadId thread, ThreadSlot& slot);
+
+  // --- Request protocol, shared by Request and RequestNonblocking ----------
+
+  // One lock request as its prologue fixed it.
+  struct PendingRequest {
+    ThreadId thread;
+    LockId lock;
+    AcquireMode mode;
+    ThreadSlot& slot;
+    StackId stack;             // proc-qualified when `pub` is set
+    GlobalEdgePublisher* pub;  // non-null only for a global lock with an arena
+    // The capture `stack` was interned from, held until the entry point
+    // returns: freeing it before the decision measured a ~4% higher acquire
+    // p50 on perfbench's avoid_contended.
+    std::vector<Frame> frames;
+  };
+  // Counts the request, opens the acquire-latency span, resolves the
+  // global-edge publisher and interns the caller's stack.
+  PendingRequest BeginRequest(ThreadId thread, LockId lock, AcquireMode mode);
+  // True (and counted) when the thread's own holds make the request
+  // reentrant, so it skips avoidance.
+  bool ReentrantHold(const PendingRequest& req);
+  // Adds the tentative allow tuple, records it as the slot's pending
+  // request, and publishes the wait edge of a global lock.
+  void AddTentative(const PendingRequest& req);
+  // The GO/YIELD decision against the current signature generation
+  // (refreshed first if stale): the incremental matcher, falling back to
+  // the epoch. A match has retired the tentative tuple (and, with
+  // yield_on_match, registered the yield).
+  std::optional<MatchResult> Decide(const PendingRequest& req, bool yield_on_match);
+  // Stages the allow event and counts the GO.
+  RequestDecision Grant(const PendingRequest& req);
 
   bool CoverPositions(const SigGen::Entry& sig,
                       const std::vector<std::vector<std::pair<StackId, AllowedTuple>>>& pools,

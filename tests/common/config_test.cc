@@ -18,7 +18,6 @@ TEST(ConfigTest, PaperDefaults) {
   EXPECT_EQ(config.calibration_nt, 10000);        // NT = 10^4
   EXPECT_EQ(config.yield_timeout.count(), 200);   // 200 msec bound
   EXPECT_EQ(config.immunity, ImmunityMode::kWeak);
-  EXPECT_EQ(config.stage, EngineStage::kFull);
   EXPECT_FALSE(config.calibration_enabled);
 }
 
@@ -30,7 +29,6 @@ TEST(ConfigTest, EnvironmentOverrides) {
   setenv("DIMMUNIX_CALIBRATION", "1", 1);
   setenv("DIMMUNIX_YIELD_TIMEOUT_MS", "75", 1);
   setenv("DIMMUNIX_IGNORE_YIELDS", "1", 1);
-  setenv("DIMMUNIX_STAGE", "data", 1);
   setenv("DIMMUNIX_STRIPES", "16", 1);
   setenv("DIMMUNIX_CONTROL", "/tmp/test.sock", 1);
 
@@ -43,7 +41,6 @@ TEST(ConfigTest, EnvironmentOverrides) {
   EXPECT_TRUE(config.calibration_enabled);
   EXPECT_EQ(config.yield_timeout.count(), 75);
   EXPECT_TRUE(config.ignore_yield_decisions);
-  EXPECT_EQ(config.stage, EngineStage::kDataStructures);
   EXPECT_EQ(config.engine_stripes, 16);
 
   unsetenv("DIMMUNIX_HISTORY");
@@ -53,7 +50,6 @@ TEST(ConfigTest, EnvironmentOverrides) {
   unsetenv("DIMMUNIX_CALIBRATION");
   unsetenv("DIMMUNIX_YIELD_TIMEOUT_MS");
   unsetenv("DIMMUNIX_IGNORE_YIELDS");
-  unsetenv("DIMMUNIX_STAGE");
   unsetenv("DIMMUNIX_STRIPES");
   unsetenv("DIMMUNIX_CONTROL");
 }

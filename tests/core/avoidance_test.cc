@@ -1,9 +1,9 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
 // Engine-level avoidance semantics (§5.4): GO/YIELD decisions, signature
-// instantiation matching, yield parking and waking, the §5.7 timeout bound,
-// and the Figure 8 stage knobs. Uses isolated Runtimes with the monitor
-// stopped so every behavior is deterministic.
+// instantiation matching, yield parking and waking, and the §5.7 timeout
+// bound. Uses isolated Runtimes with the monitor stopped so every behavior
+// is deterministic.
 
 #include "src/core/avoidance.h"
 
@@ -35,6 +35,30 @@ int SeedSignature(Runtime& rt, const char* frame_a, const char* frame_b, int dep
   return index;
 }
 
+// Each instantiation is its own lock site: two sites that differ only in
+// their innermost frame. Returns the stack the request interned (native
+// capture: no annotations are active).
+template <LockId kLock>
+[[gnu::noinline]] StackId RequestFromSite(Runtime& rt, ThreadId tid, bool nonblocking) {
+  const RequestDecision decision =
+      nonblocking ? rt.engine().RequestNonblocking(tid, kLock) : rt.engine().Request(tid, kLock);
+  EXPECT_EQ(decision, RequestDecision::kGo);
+  rt.engine().CancelRequest(tid, kLock);
+  return rt.engine().registry().Slot(tid).pending_stack;
+}
+
+TEST(AvoidanceTest, NativeStackStartsAtTheCallerOfTheEntryPoint) {
+  // An engine frame left on top of every captured stack would make all
+  // call sites match at depth 1, and every depth-d signature only d-1 deep.
+  Runtime rt(TestConfig());
+  const ThreadId tid = rt.RegisterCurrentThread();
+  for (const bool nonblocking : {false, true}) {
+    const StackId a = RequestFromSite<11>(rt, tid, nonblocking);
+    const StackId b = RequestFromSite<12>(rt, tid, nonblocking);
+    EXPECT_FALSE(rt.stacks().MatchesAtDepth(a, b, 1)) << "nonblocking=" << nonblocking;
+  }
+}
+
 TEST(AvoidanceTest, GoWhenHistoryEmpty) {
   Runtime rt(TestConfig());
   const ThreadId tid = rt.RegisterCurrentThread();
@@ -53,6 +77,8 @@ TEST(AvoidanceTest, ReentrantAcquisitionSkipsAvoidance) {
   ASSERT_EQ(rt.engine().Request(tid, 5), RequestDecision::kGo);
   rt.engine().Acquired(tid, 5);
   EXPECT_EQ(rt.engine().Request(tid, 5), RequestDecision::kReentrant);
+  // The trylock entry point sees the same thread-local hold.
+  EXPECT_EQ(rt.engine().RequestNonblocking(tid, 5), RequestDecision::kReentrant);
   rt.engine().Acquired(tid, 5);  // reentrant count 2
   rt.engine().Release(tid, 5);
   EXPECT_EQ(rt.engine().LockOwner(5), tid);  // still held
@@ -191,6 +217,11 @@ TEST(AvoidanceTest, IgnoreYieldDecisionsProceedsButCounts) {
     ScopedFrame frame(FrameFromName("reqB"));
     EXPECT_EQ(rt.engine().Request(tid, 200), RequestDecision::kGo);  // not enforced
     rt.engine().CancelRequest(tid, 200);
+    // The trylock path skips matching altogether: GO, and no yield counted.
+    const std::uint64_t yields = rt.engine().stats().yields.load();
+    EXPECT_EQ(rt.engine().RequestNonblocking(tid, 200), RequestDecision::kGo);
+    EXPECT_EQ(rt.engine().stats().yields.load(), yields);
+    rt.engine().CancelRequest(tid, 200);
   });
   other.join();
   EXPECT_GE(rt.engine().stats().yields.load(), 1u);
@@ -223,29 +254,6 @@ TEST(AvoidanceTest, YieldTimeoutRecordsAbortAndAutoDisables) {
   EXPECT_EQ(rt.history().Get(index).abort_count, 2u);
   EXPECT_TRUE(rt.history().Get(index).disabled);
   EXPECT_EQ(rt.engine().stats().signatures_disabled.load(), 1u);
-}
-
-TEST(AvoidanceTest, StageKnobsDisableAvoidance) {
-  for (EngineStage stage : {EngineStage::kInstrumentationOnly, EngineStage::kDataStructures}) {
-    Config config = TestConfig();
-    config.stage = stage;
-    Runtime rt(config);
-    SeedSignature(rt, "holdA", "reqB");
-    const ThreadId main_tid = rt.RegisterCurrentThread();
-    {
-      ScopedFrame frame(FrameFromName("holdA"));
-      ASSERT_EQ(rt.engine().Request(main_tid, 100), RequestDecision::kGo);
-      rt.engine().Acquired(main_tid, 100);
-    }
-    std::thread other([&] {
-      const ThreadId tid = rt.RegisterCurrentThread();
-      ScopedFrame frame(FrameFromName("reqB"));
-      EXPECT_EQ(rt.engine().Request(tid, 200), RequestDecision::kGo);
-      rt.engine().CancelRequest(tid, 200);
-    });
-    other.join();
-    EXPECT_EQ(rt.engine().stats().yields.load(), 0u) << static_cast<int>(stage);
-  }
 }
 
 TEST(AvoidanceTest, MatchDepthControlsGenerality) {

@@ -5,7 +5,8 @@
 // Runs the §7.2.2 synchronization microbenchmark in the configurations of
 // Figure 5 (lock throughput vs. thread count, uninstrumented baseline vs.
 // the instrumented engine with a 64-signature history) and Figure 8
-// (overhead breakdown by engine stage) and emits BENCH_<bench>.json with
+// (engine overhead with and without durable history persistence) and
+// emits BENCH_<bench>.json with
 // the schema documented in src/benchlib/trial.h:
 //
 //   {"bench": ..., "config": {...}, "samples": [...],
@@ -222,23 +223,13 @@ int RunFig5(const Options& opts) {
 int RunFig8(const Options& opts) {
   const std::vector<int> thread_counts =
       opts.quick ? std::vector<int>{8} : std::vector<int>{2, 8, 16};
-  struct Stage {
-    const char* label;
-    EngineStage stage;
-  };
-  const Stage stages[] = {
-      {"instr", EngineStage::kInstrumentationOnly},
-      {"data", EngineStage::kDataStructures},
-      {"full", EngineStage::kFull},
-  };
-
   BenchReport report;
   report.bench = "fig8";
   report.p99_budget_ns = P99BudgetNs(report.bench);
   report.tail_budget_ratio = TailBudgetRatio(report.bench);
   report.config = {
       {"cpus", CpuCount()},
-      {"workload", "sync microbenchmark (7.2.2), staged engine"},
+      {"workload", "sync microbenchmark (7.2.2), full engine with and without persistence"},
       {"locks", "8"},
       {"delta_in_us", "1"},
       {"delta_out_us", "0"},
@@ -256,37 +247,31 @@ int RunFig8(const Options& opts) {
     std::printf("fig8 threads=%3d baseline=%10.0f ops/s\n", threads, baseline.ops_per_sec);
 
     double full_ops = 0.0;
-    for (const Stage& stage : stages) {
-      Config config = InstrumentedConfig();
-      config.stage = stage.stage;
-      Runtime rt(config);
+    {
+      Runtime rt(InstrumentedConfig());
       LoadSyntheticHistory(rt);
       params.mode = WorkloadMode::kDimmunix;
       params.runtime = &rt;
       const WorkloadResult result = RunWorkload(params);
-      report.samples.push_back(ToSample(stage.label, threads, result));
+      report.samples.push_back(ToSample("full", threads, result));
       if (result.lock_ops > 0) {
         const EngineStatsSnapshot es = rt.engine().stats().Snapshot();
         report.samples.back().retries_per_op =
             static_cast<double>(es.match_fast_retries) / static_cast<double>(result.lock_ops);
       }
-      std::printf("fig8 threads=%3d %12s=%10.0f ops/s\n", threads, stage.label,
-                  result.ops_per_sec);
-      if (stage.stage == EngineStage::kFull) {
-        full_ops = result.ops_per_sec;
-        report.p50_ns = PercentileNs(result.latencies_ns, 0.50);
-        report.p99_ns = PercentileNs(result.latencies_ns, 0.99);
-        report.throughput_ops_s = result.ops_per_sec;
-      }
+      std::printf("fig8 threads=%3d %12s=%10.0f ops/s\n", threads, "full", result.ops_per_sec);
+      full_ops = result.ops_per_sec;
+      report.p50_ns = PercentileNs(result.latencies_ns, 0.50);
+      report.p99_ns = PercentileNs(result.latencies_ns, 0.99);
+      report.throughput_ops_s = result.ops_per_sec;
     }
 
-    // full + durable persistence: same engine stage, but with a live history
+    // full + durable persistence: same engine, but with a live history
     // file, save-on-update, and the async HistoryStore journaling/compacting.
     // History I/O is off the hot path, so this must track "full" within
     // noise — the number CI watches for regressions of that property.
     {
       Config config = InstrumentedConfig();
-      config.stage = EngineStage::kFull;
       config.history_path = BenchJsonPath("fig8") + ".hist";
       config.save_history_on_update = true;
       config.load_history_on_init = false;  // fresh file every run
