@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lane: keep the documentation from silently rotting.
 
-Three checks, all cheap enough to run on every push:
+Four checks, all cheap enough to run on every push:
 
 1. Link check — every relative markdown link in docs/*.md and README.md
    must point at a file that exists in the repo (anchors are stripped;
@@ -14,6 +14,9 @@ Three checks, all cheap enough to run on every push:
    (as string literals) must equal the list in Config::FromEnvironment's
    comment in src/common/config.h, so a new knob is documented and a
    deleted one cannot linger in the canonical list.
+4. Doc knob guard — every DIMMUNIX_* name README.md and docs/*.md mention
+   must be one src/ reads, or a build/script variable or source macro on
+   DOC_ONLY_NAMES, so the docs cannot advertise a deleted knob.
 
 Exit status is the number of violations (0 = clean).
 """
@@ -78,12 +81,29 @@ def check_subsystems() -> list[str]:
 KNOB_LITERAL_RE = re.compile(r'"(DIMMUNIX_[A-Z0-9_]+)"')
 KNOB_NAME_RE = re.compile(r"\bDIMMUNIX_[A-Z0-9_]+")
 
+# DIMMUNIX_* names the docs may mention although src/ reads no such
+# environment variable: CMake options and script variables, and the
+# annotation/logging macros.
+DOC_ONLY_NAMES = {
+    "DIMMUNIX_SANITIZE",
+    "DIMMUNIX_WERROR",
+    "DIMMUNIX_CCACHE",
+    "DIMMUNIX_BENCH_FULL",
+    "DIMMUNIX_FRAME",
+    "DIMMUNIX_NAMED_FRAME",
+    "DIMMUNIX_LOG",
+}
 
-def check_env_knobs() -> list[str]:
+
+def knobs_read_by_src() -> set[str]:
     read = set()
     for src in sorted((ROOT / "src").rglob("*")):
         if src.suffix in (".h", ".cc"):
             read.update(KNOB_LITERAL_RE.findall(src.read_text(encoding="utf-8")))
+    return read
+
+
+def check_env_knobs(read: set[str]) -> list[str]:
     header = (ROOT / "src" / "common" / "config.h").read_text(encoding="utf-8")
     match = re.search(
         r"// Reads DIMMUNIX_\* environment variables.*?\n((?:\s*//.*\n)+)", header
@@ -104,18 +124,31 @@ def check_env_knobs() -> list[str]:
     return errors
 
 
+def check_doc_knobs(md_path: pathlib.Path, read: set[str]) -> list[str]:
+    # Code samples included: a knob in a shell example is as user-facing as
+    # one in prose.
+    mentioned = set(KNOB_NAME_RE.findall(md_path.read_text(encoding="utf-8")))
+    return [
+        f"{md_path.relative_to(ROOT)}: {name} is not read by src/ "
+        "(nor a build/script variable on DOC_ONLY_NAMES)"
+        for name in sorted(mentioned - read - DOC_ONLY_NAMES)
+    ]
+
+
 def main() -> int:
     errors = []
+    read = knobs_read_by_src()
     for md in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
         errors.extend(check_links(md))
+        errors.extend(check_doc_knobs(md, read))
     errors.extend(check_subsystems())
-    errors.extend(check_env_knobs())
+    errors.extend(check_env_knobs(read))
     for err in errors:
         print(f"docs-check: {err}", file=sys.stderr)
     if not errors:
         print(
             "docs-check: all links resolve, all subsystems documented, "
-            "env knob list matches src/"
+            "env knob list matches src/, docs name only live knobs"
         )
     return min(len(errors), 99)
 

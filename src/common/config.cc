@@ -32,19 +32,6 @@ long EnvLong(const char* name, long fallback) {
   return parsed;
 }
 
-double EnvDouble(const char* name, double fallback) {
-  const char* v = Getenv(name);
-  if (v == nullptr || *v == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v) {
-    return fallback;
-  }
-  return parsed;
-}
-
 }  // namespace
 
 Config Config::FromEnvironment() { return FromEnvironment(Config{}); }
@@ -63,9 +50,6 @@ Config Config::FromEnvironment(Config base) {
       std::chrono::milliseconds(EnvLong("DIMMUNIX_YIELD_TIMEOUT_MS", base.yield_timeout.count()));
   base.ignore_yield_decisions = EnvBool("DIMMUNIX_IGNORE_YIELDS", base.ignore_yield_decisions);
   base.engine_stripes = static_cast<int>(EnvLong("DIMMUNIX_STRIPES", base.engine_stripes));
-  base.incremental_matcher = EnvBool("DIMMUNIX_INCREMENTAL_MATCH", base.incremental_matcher);
-  base.epoch_hold_bound =
-      std::chrono::milliseconds(EnvLong("DIMMUNIX_EPOCH_BOUND_MS", base.epoch_hold_bound.count()));
   base.journal_threshold =
       static_cast<int>(EnvLong("DIMMUNIX_JOURNAL_THRESHOLD", base.journal_threshold));
   base.journal_fsync = EnvBool("DIMMUNIX_JOURNAL_FSYNC", base.journal_fsync);
@@ -76,8 +60,6 @@ Config Config::FromEnvironment(Config base) {
   }
   base.ipc_bridge_period = std::chrono::milliseconds(
       EnvLong("DIMMUNIX_IPC_BRIDGE_MS", base.ipc_bridge_period.count()));
-  base.ipc_flush_period = std::chrono::microseconds(
-      EnvLong("DIMMUNIX_IPC_FLUSH_US", base.ipc_flush_period.count()));
   if (const char* m = Getenv("DIMMUNIX_IMMUNITY"); m != nullptr) {
     std::string_view s(m);
     if (s == "strong") {
@@ -93,38 +75,14 @@ Config Config::FromEnvironment(Config base) {
     base.fleet_daemon = f;
   }
   base.trace_enabled = EnvBool("DIMMUNIX_TRACE", base.trace_enabled);
-  base.trace_ring_size = static_cast<int>(EnvLong("DIMMUNIX_TRACE_RING", base.trace_ring_size));
   if (const char* td = Getenv("DIMMUNIX_TRACE_DUMP"); td != nullptr && *td != '\0') {
     base.trace_dump_path = td;
   }
   base.metrics_enabled = EnvBool("DIMMUNIX_METRICS", base.metrics_enabled);
   base.health_enabled = EnvBool("DIMMUNIX_HEALTH", base.health_enabled);
-  base.health_period =
-      std::chrono::milliseconds(EnvLong("DIMMUNIX_HEALTH_MS", base.health_period.count()));
-  base.health_retry_ratio = EnvDouble("DIMMUNIX_HEALTH_RETRY_RATIO", base.health_retry_ratio);
-  base.health_epoch_stall_pct =
-      EnvDouble("DIMMUNIX_HEALTH_EPOCH_STALL_PCT", base.health_epoch_stall_pct);
-  base.health_ipc_backlog =
-      static_cast<int>(EnvLong("DIMMUNIX_HEALTH_IPC_BACKLOG", base.health_ipc_backlog));
-  base.health_ipc_flush_p99_us =
-      EnvLong("DIMMUNIX_HEALTH_IPC_FLUSH_P99_US", base.health_ipc_flush_p99_us);
-  base.health_arena_pct = EnvDouble("DIMMUNIX_HEALTH_ARENA_PCT", base.health_arena_pct);
-  base.health_ring_drops_per_s =
-      EnvDouble("DIMMUNIX_HEALTH_RING_DROPS", base.health_ring_drops_per_s);
-  base.health_store_queue =
-      static_cast<int>(EnvLong("DIMMUNIX_HEALTH_STORE_QUEUE", base.health_store_queue));
-  base.health_resync_stale_x =
-      EnvDouble("DIMMUNIX_HEALTH_RESYNC_STALE_X", base.health_resync_stale_x);
-  base.health_fire_ticks =
-      static_cast<int>(EnvLong("DIMMUNIX_HEALTH_FIRE_TICKS", base.health_fire_ticks));
-  base.health_resolve_ticks =
-      static_cast<int>(EnvLong("DIMMUNIX_HEALTH_RESOLVE_TICKS", base.health_resolve_ticks));
   if (const char* inc = Getenv("DIMMUNIX_INCIDENT_DIR"); inc != nullptr && *inc != '\0') {
     base.incident_dir = inc;
   }
-  base.incident_max = static_cast<int>(EnvLong("DIMMUNIX_INCIDENT_MAX", base.incident_max));
-  base.incident_min_period = std::chrono::milliseconds(
-      EnvLong("DIMMUNIX_INCIDENT_MIN_MS", base.incident_min_period.count()));
   return base;
 }
 

@@ -8,12 +8,15 @@
 // exclusion generalized to n threads."
 //
 // We reproduce that substrate faithfully: a filter lock over a fixed number
-// of slots, where each participating thread owns one slot. The avoidance
-// engine can be configured (Config::use_peterson_guard) to guard its shared
-// state with this lock instead of a TAS spin lock; both are exercised by the
-// test suite. The filter lock takes O(n) levels per acquisition, which is
-// why it is not the default on modern hardware, but it uses only loads and
-// stores with seq_cst fences — no RMW instructions.
+// of slots, where each participating thread owns one slot. The engine's
+// shared state sits behind TAS-spin-locked stripes; the filter, when
+// configured (Config::use_peterson_guard), guards only the stop-the-stripes
+// epoch entry, in front of the stripe locks rather than instead of them.
+// Threads whose id has no slot enter the epoch through the stripe locks
+// alone. The filter lock takes
+// O(n) levels per acquisition, which is why it is not the default on modern
+// hardware, but it uses only loads and stores with seq_cst fences — no RMW
+// instructions.
 
 #ifndef DIMMUNIX_COMMON_PETERSON_LOCK_H_
 #define DIMMUNIX_COMMON_PETERSON_LOCK_H_

@@ -81,16 +81,17 @@ AvoidanceEngine::AvoidanceEngine(const Config& config, StackTable* stacks, Histo
 AvoidanceEngine::~AvoidanceEngine() = default;
 
 AvoidanceEngine::SlotEpochGuard::SlotEpochGuard(AvoidanceEngine& engine, ThreadId thread)
-    : engine_(engine), thread_(thread) {
+    : engine_(engine),
+      thread_(thread),
+      filtered_(engine.use_peterson_ &&
+                static_cast<std::size_t>(thread) < engine.peterson_guard_.slots()) {
   // Epoch entry is rare — with the incremental matcher in front, only cache
   // rebuilds, snapshots, and fast-path validation churn land here — so the
   // wait and hold are *always* measured: the clock reads feed the
   // epoch_entries / epoch_stall_ns / epoch_hold_ns counters that
   // `dimctl status` reports with tracing off.
   const std::uint64_t wait_begin = obs::NowNs();
-  if (engine_.use_peterson_) {
-    assert(static_cast<std::size_t>(thread_) < engine_.peterson_guard_.slots() &&
-           "peterson guard requires thread ids < peterson_slots");
+  if (filtered_) {
     engine_.peterson_guard_.Lock(static_cast<std::size_t>(thread_));
   }
   for (std::size_t i = 0; i <= engine_.slot_stripe_mask_; ++i) {
@@ -105,19 +106,17 @@ AvoidanceEngine::SlotEpochGuard::SlotEpochGuard(AvoidanceEngine& engine, ThreadI
 AvoidanceEngine::SlotEpochGuard::~SlotEpochGuard() {
   // Hold time ends where the stripes release; the histogram/ring pushes
   // happen after the unlocks so the export work itself never extends the
-  // epoch. Debug builds assert the configured hold bound — the epoch is
+  // epoch. Debug builds assert kEpochHoldBound — the epoch is
   // allowed to be slow-path-rare, never slow-path-long.
   const std::uint64_t end_ns = obs::NowNs();
   const std::uint64_t hold_ns = end_ns - entered_ns_;
   assert(hold_ns <= static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            engine_.config_.epoch_hold_bound)
-                            .count()) &&
-         "stop-the-stripes epoch held past Config::epoch_hold_bound");
+                        std::chrono::nanoseconds(kEpochHoldBound).count()) &&
+         "stop-the-stripes epoch held past kEpochHoldBound");
   for (std::size_t i = engine_.slot_stripe_mask_ + 1; i-- > 0;) {
     engine_.slot_stripes_[i].lock.Unlock();
   }
-  if (engine_.use_peterson_) {
+  if (filtered_) {
     engine_.peterson_guard_.Unlock(static_cast<std::size_t>(thread_));
   }
   engine_.stats_.epoch_hold_ns.fetch_add(hold_ns, std::memory_order_relaxed);

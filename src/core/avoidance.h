@@ -48,8 +48,7 @@
 // The stop-the-stripes epoch survives only as the rare slow path: cache
 // rebuilds after history changes, Snapshot(), and fast-path validation
 // churn (bounded retries, then the epoch arbitrates). Its hold time is
-// counted (epoch_hold_ns) and bounded by Config::epoch_hold_bound in debug
-// builds.
+// counted (epoch_hold_ns) and bounded by kEpochHoldBound in debug builds.
 //
 // Lock ordering (outermost first):
 //   sig_mutex_ -> slot stripes (ascending) -> owner stripes (ascending)
@@ -387,6 +386,11 @@ class AvoidanceEngine {
   // still pinned by a reader's hazard pointer (AcquireGenRef). Only the
   // per-position live counters mutate after publication.
   static constexpr std::uint64_t kStaleVersion = ~0ULL;
+  // Upper bound on how long any stop-the-stripes epoch may be held,
+  // asserted in debug builds (release builds only count epoch_hold_ns).
+  // Generous by design: it catches reintroduced unbounded epoch work, not
+  // scheduler noise or sanitizer slowdowns.
+  static constexpr std::chrono::milliseconds kEpochHoldBound{1000};
   static constexpr unsigned kPosBits = 10;  // max 1024 stacks per signature
   struct SigGen {
     std::uint64_t version = kStaleVersion;  // History::version() it reflects
@@ -431,6 +435,8 @@ class AvoidanceEngine {
 
   // Locks every slot stripe in ascending order (behind the Peterson filter
   // when configured); the holder has a consistent view of all Allowed sets.
+  // Threads whose id has no filter slot take the stripe locks alone: the
+  // ascending stripe order already makes epoch holders mutually exclusive.
   class SlotEpochGuard {
    public:
     SlotEpochGuard(AvoidanceEngine& engine, ThreadId thread);
@@ -441,6 +447,7 @@ class AvoidanceEngine {
    private:
     AvoidanceEngine& engine_;
     ThreadId thread_;
+    bool filtered_;  // holds a Peterson filter slot
     // Steady-clock ns when the last stripe lock was taken; the destructor
     // turns it into the epoch-hold histogram sample and kEpoch trace span.
     std::uint64_t entered_ns_ = 0;

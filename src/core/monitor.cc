@@ -199,7 +199,7 @@ int Monitor::ArchiveSignature(SignatureKind kind, const std::vector<StackId>& st
 }
 
 void Monitor::PersistHistory(int signature_index) {
-  if (config_.history_path.empty() || !config_.save_history_on_update) {
+  if (config_.history_path.empty()) {
     return;
   }
   if (store_ != nullptr) {

@@ -82,7 +82,8 @@ struct EngineStats {
   // incremental matcher the epoch is the rare slow path, so epoch_entries
   // staying near zero under load is itself the signal that the tail fix
   // holds; the per-entry hold distribution is on the obs epoch-hold
-  // histogram and bounded by Config::epoch_hold_bound in debug builds.
+  // histogram and bounded by AvoidanceEngine::kEpochHoldBound in debug
+  // builds.
   ShardedCounter epoch_entries;
   ShardedCounter epoch_stall_ns;
   ShardedCounter epoch_hold_ns;

@@ -430,6 +430,51 @@ TEST(ProtocolExecuteTest, MetricsIsValidPrometheusExposition) {
             std::string::npos);
 }
 
+TEST(ProtocolExecuteTest, DefaultRuntimeRunsHealthOnTheThresholdDefaults) {
+  // The Runtime builds its HealthEngine from HealthThresholds{} and nothing
+  // else: every rule reports that default, in Snapshot() and in `alerts`.
+  const obs::HealthThresholds defaults;
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"match_churn", defaults.retry_ratio},
+      {"epoch_stall", defaults.epoch_stall_pct},
+      {"ipc_backlog", static_cast<double>(defaults.ipc_backlog)},
+      {"ipc_flush_latency", static_cast<double>(defaults.ipc_flush_p99_us)},
+      {"arena_exhaustion", defaults.arena_pct},
+      {"ring_drops", defaults.ring_drops_per_s},
+      {"store_backlog", static_cast<double>(defaults.store_queue)},
+      {"resync_stale", defaults.resync_stale_x},
+  };
+  Config config = TestConfig();
+  config.health_enabled = false;  // the test owns every Tick deterministically
+  Runtime rt(config);
+  const std::vector<obs::AlertSnapshot> snapshot = rt.health().Snapshot();
+  ASSERT_EQ(snapshot.size(), expected.size());
+  const std::string reply = HandleLine(rt, "alerts");
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(snapshot[i].rule, expected[i].first);
+    EXPECT_EQ(snapshot[i].threshold, expected[i].second) << expected[i].first;
+    std::ostringstream line;
+    line << "alert " << expected[i].first << " state=inactive value=0 threshold="
+         << expected[i].second << " ";
+    EXPECT_NE(reply.find(line.str()), std::string::npos) << line.str() << " in: " << reply;
+  }
+
+  // Hysteresis: a sustained breach turns active after exactly fire_ticks
+  // breaching ticks. The first Tick only primes the rate deltas.
+  obs::HealthSample s;
+  s.now_ns = 1'000'000'000ULL;
+  rt.health().Tick(s);
+  for (int tick = 1; tick <= defaults.fire_ticks; ++tick) {
+    s.now_ns += 1'000'000'000ULL;
+    s.requests += 100;
+    s.match_fast_retries += 100;
+    rt.health().Tick(s);
+    EXPECT_EQ(rt.health().Snapshot()[0].state,
+              tick < defaults.fire_ticks ? obs::AlertState::kFiring : obs::AlertState::kActive)
+        << "after " << tick << " breaching tick(s)";
+  }
+}
+
 TEST(ProtocolExecuteTest, AlertsFollowSyntheticChurnThroughTheirLifecycle) {
   Config config = TestConfig();
   config.health_enabled = false;  // the test owns every Tick deterministically

@@ -363,6 +363,36 @@ TEST(AvoidanceTest, PetersonGuardWorks) {
   });
   other.join();
   EXPECT_GE(rt.engine().stats().yields.load(), 1u);
+
+  // More threads registered than the filter has slots: an id past them
+  // enters the epoch through the stripe locks alone, racing filtered
+  // entries from the main thread. Registry ids are never reused, so
+  // short-lived threads use up the ids below the slot count; the highest
+  // thread then gets the first id past it, whose filter state would sit
+  // just past the end of the filter's arrays.
+  ThreadId last = main_tid;
+  while (last + 1 < static_cast<ThreadId>(config.peterson_slots)) {
+    std::thread([&] { last = rt.RegisterCurrentThread(); }).join();
+  }
+  const std::uint64_t epochs_before = rt.engine().stats().Snapshot().epoch_entries;
+  constexpr int kRounds = 50;
+  std::thread highest([&] {
+    const ThreadId tid = rt.RegisterCurrentThread();
+    EXPECT_GE(tid, static_cast<ThreadId>(config.peterson_slots));
+    for (int i = 0; i < kRounds; ++i) {
+      rt.engine().Snapshot();  // enters the epoch as `tid`
+    }
+    SeedSignature(rt, "holdC", "reqD");  // the next request rebuilds under the epoch
+    ScopedFrame frame(FrameFromName("reqD"));
+    EXPECT_EQ(rt.engine().RequestNonblocking(tid, 300), RequestDecision::kGo);
+    rt.engine().CancelRequest(tid, 300);
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    rt.engine().Snapshot();  // enters the epoch through the filter as main_tid
+  }
+  highest.join();
+  EXPECT_GE(rt.engine().stats().Snapshot().epoch_entries - epochs_before,
+            static_cast<std::uint64_t>(2 * kRounds + 1));
 }
 
 TEST(AvoidanceTest, SharedHolderUpgradingRunsTheFullProtocol) {

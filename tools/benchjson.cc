@@ -267,13 +267,12 @@ int RunFig8(const Options& opts) {
     }
 
     // full + durable persistence: same engine, but with a live history
-    // file, save-on-update, and the async HistoryStore journaling/compacting.
+    // file and the async HistoryStore journaling/compacting.
     // History I/O is off the hot path, so this must track "full" within
     // noise — the number CI watches for regressions of that property.
     {
       Config config = InstrumentedConfig();
       config.history_path = BenchJsonPath("fig8") + ".hist";
-      config.save_history_on_update = true;
       config.load_history_on_init = false;  // fresh file every run
       config.journal_threshold = 8;
       persist::RemoveHistoryFiles(config.history_path);
